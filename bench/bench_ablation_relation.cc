@@ -51,7 +51,7 @@ int main() {
   PrintBanner("Ablation: selective relational-knowledge injection", opt,
               dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::Evaluator evaluator(dataset, MakeEvaluatorConfig(opt));
   alphaevolve::TablePrinter table({"Search", "RelationOps", "best IC (valid)",
                                    "Sharpe (valid)", "relation ops in winner"});
   const int kSeeds = 3;

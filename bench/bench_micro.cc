@@ -635,9 +635,9 @@ BENCHMARK(BM_EvolutionPooled)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Async pipelined vs synchronous evolution driver (BENCH_5.json) -------
-// The same candidate stream (fixed seed + batch width) through the batched
-// driver at pipeline depths 0 (synchronous: the driving thread blocks while
+// --- Evolution driver at pipeline depths 0 / 1 / 2 (BENCH_5.json) ---------
+// The same candidate stream (fixed seed + batch width) through the batch
+// driver at pipeline depths 0 (lockstep: the driving thread blocks while
 // each batch evaluates), 1 (double-buffered: batch N+1 is mutated / pruned /
 // fingerprinted while batch N evaluates), and 2. Results are bit-identical
 // at every depth (pipelined_evolution_test), so `speedup_vs_sync` — cands/
@@ -692,7 +692,7 @@ void BM_EvolutionPipelined(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvolutionPipelined)
-    ->Arg(0)  // synchronous baseline registers first
+    ->Arg(0)  // depth-0 baseline registers first
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond)
@@ -721,7 +721,7 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   const auto& ds = BenchDataset(64);
   core::EvaluatorPool pool(ds, core::EvaluatorConfig{}, threads);
   core::EvolutionConfig cfg = MicroEvolutionConfig();
-  cfg.pipeline_depth = 0;  // TEMP-EXPERIMENT
+  cfg.pipeline_depth = 1;
   cfg.telemetry.enabled = mode >= 1;
   cfg.telemetry.tracing = mode >= 2;
   obs::Configure(cfg.telemetry);  // Run() only applies enabled configs
@@ -790,11 +790,11 @@ void BM_CheckpointOverhead(benchmark::State& state) {
   const auto& ds = BenchDataset(64);
   core::EvaluatorPool pool(ds, core::EvaluatorConfig{}, threads);
   core::EvolutionConfig cfg = MicroEvolutionConfig();
-  // The synchronous driver: it is the semantic reference every snapshot
-  // equals by construction (pipelined drivers drain to exactly its states
-  // before capturing), so it isolates the checkpoint machinery's cost —
-  // capture + serialize + background publish — from the pipeline-refill
-  // bubble a depth>0 drain adds per snapshot. That policy cost is bounded
+  // Depth 0: nothing is in flight at a batch barrier, so a snapshot needs
+  // no drain (deeper pipelines drain to exactly the depth-0 states before
+  // capturing). That isolates the checkpoint machinery's cost — capture +
+  // serialize + background publish — from the pipeline-refill bubble a
+  // depth>0 drain adds per snapshot. That policy cost is bounded
   // by BM_EvolutionPipelined's depth gain and shrinks with real batch
   // durations (this micro-workload commits a batch every ~10ms; paper-scale
   // runs take seconds per batch, making the bubble noise).

@@ -19,7 +19,7 @@ int main() {
   const market::Dataset dataset = MakeBenchDataset(opt);
   PrintBanner("Table 1: mining vs an existing expert alpha", opt, dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::Evaluator evaluator(dataset, MakeEvaluatorConfig(opt));
 
   // The existing alpha: the domain-expert design, evaluated as-is.
   const core::AlphaProgram expert = core::MakeExpertAlpha(dataset.window());

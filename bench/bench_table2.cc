@@ -21,7 +21,7 @@ int main() {
   PrintBanner("Table 2: weakly correlated alpha mining, AE vs GA", opt,
               dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::Evaluator evaluator(dataset, MakeEvaluatorConfig(opt));
   const AeStudyResult ae = RunAeStudy(evaluator, opt);
   const std::vector<GaStudyRow> ga = RunGaStudy(dataset, opt);
 

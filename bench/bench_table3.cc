@@ -18,7 +18,7 @@ int main() {
   const market::Dataset dataset = MakeBenchDataset(opt);
   PrintBanner("Table 3: initialization study", opt, dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::Evaluator evaluator(dataset, MakeEvaluatorConfig(opt));
   const AeStudyResult ae = RunAeStudy(evaluator, opt);
 
   alphaevolve::TablePrinter table({"Alpha", "Sharpe ratio", "IC",

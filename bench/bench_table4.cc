@@ -40,7 +40,7 @@ int main() {
   const market::Dataset dataset = MakeBenchDataset(opt);
   PrintBanner("Table 4: parameter-updating function ablation", opt, dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::Evaluator evaluator(dataset, MakeEvaluatorConfig(opt));
   const core::ProgramLimits limits;
   alphaevolve::TablePrinter table(
       {"Alpha", "Sharpe ratio", "IC", "Sharpe (test)", "IC (test)",

@@ -20,7 +20,7 @@ int main() {
   const market::Dataset dataset = MakeBenchDataset(opt);
   PrintBanner("Table 5: vs complex machine learning alphas", opt, dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::Evaluator evaluator(dataset, MakeEvaluatorConfig(opt));
 
   // alpha_AE_D_0: expert-initialized search (round 0, no cutoff).
   core::WeaklyCorrelatedMiner miner(evaluator, MakeEvolutionConfig(opt, 1));

@@ -89,9 +89,6 @@ core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
   cfg.time_budget_seconds = opt.search_seconds;
   cfg.seed = seed;
   cfg.num_threads = opt.num_threads;  // batch size auto: 4x threads
-  cfg.intra_candidate_threads = opt.intra_threads;  // task shards / candidate
-  cfg.fuse_segments = opt.fuse_segments ? 1 : 0;
-  cfg.block_size = opt.block_size;
   cfg.pipeline_depth = opt.pipeline_depth;  // overlap generation/evaluation
   return cfg;
 }
@@ -120,7 +117,8 @@ RoundOutcome RunRoundBestOfInits(core::WeaklyCorrelatedMiner& miner,
   double best_sharpe = -1e30;
   for (size_t i = 0; i < inits.size(); ++i) {
     core::EvolutionResult& r = results[i];
-    if (r.has_alpha && r.best_metrics.sharpe_valid > best_sharpe) {
+    if (r.has_alpha && r.best_metrics.valid &&
+        r.best_metrics.sharpe_valid > best_sharpe) {
       best_sharpe = r.best_metrics.sharpe_valid;
       out.has_alpha = true;
       out.init = inits[i];
@@ -198,10 +196,11 @@ AeStudyResult RunAeStudyWithMiner(core::WeaklyCorrelatedMiner& miner,
     for (size_t i = 0; i < results.size(); ++i) {
       rows.push_back(MakeRow(names[i], results[i], miner));
     }
-    // Round winner by validation Sharpe (paper §5.4.1).
+    // Round winner by validation Sharpe (paper §5.4.1), among rows whose
+    // metrics are valid (the miner refuses the others).
     int best = -1;
     for (size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].has_alpha &&
+      if (rows[i].has_alpha && rows[i].metrics.valid &&
           (best < 0 || rows[i].sharpe_valid >
                            rows[static_cast<size_t>(best)].sharpe_valid)) {
         best = static_cast<int>(i);

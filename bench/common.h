@@ -31,8 +31,8 @@ namespace ga = alphaevolve::ga;
 ///   AE_BENCH_BLOCK    fused-path tasks per cache block (default 0 = auto)
 ///   AE_BENCH_PIPELINE evolution pipeline depth: in-flight evaluation
 ///                     batches overlapped with next-batch generation
-///                     (default 1; 0 = synchronous driver; bit-identical
-///                     at any depth)
+///                     (default 1; 0 = each batch committed before the
+///                     next is generated; bit-identical at any depth)
 ///   AE_BENCH_FULL     1 → paper-scale grid/budgets   (default 0)
 struct BenchOptions {
   int num_stocks = 150;
@@ -55,13 +55,15 @@ struct BenchOptions {
 /// see DESIGN.md "Substitutions").
 market::Dataset MakeBenchDataset(const BenchOptions& opt);
 
-/// Evaluator configuration with the bench's intra-candidate shard count
-/// (AE_BENCH_INTRA_THREADS) applied; pass to Evaluator/EvaluatorPool so
-/// each candidate's lockstep execution is task-sharded.
+/// Evaluator configuration with the bench's executor knobs
+/// (AE_BENCH_INTRA_THREADS, AE_BENCH_FUSE, AE_BENCH_BLOCK) applied; pass it
+/// to every Evaluator/EvaluatorPool a bench builds — an Evolution over a
+/// bare Evaluator builds its internal pool from the evaluator's config.
 core::EvaluatorConfig MakeEvaluatorConfig(const BenchOptions& opt);
 
 /// Evolution configuration matching the paper's §5.2 settings, with the
-/// bench time budget and the bench thread count (batch size auto-derived).
+/// bench time budget, thread count (batch size auto-derived) and pipeline
+/// depth.
 core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
                                           uint64_t seed);
 

@@ -27,9 +27,11 @@
 // interpreter instead of the fused micro-op kernels (bit-identical output,
 // useful for A/B timing the kernel win on your universe). pipeline_depth
 // sets how many evaluation batches each search keeps in flight while it
-// generates the next (default 1; 0 = the synchronous driver; any depth is
-// bit-identical for candidate-bounded searches — time-budgeted ones, like
-// this example's, simply cover more candidates per wall-second).
+// generates the next (default 1; 0 generates, scores and commits each batch
+// before generating the next; with 1 thread evaluation runs inline at any
+// depth). Any depth is bit-identical for candidate-bounded searches —
+// time-budgeted ones, like this example's, simply cover more candidates per
+// wall-second.
 //
 // Telemetry (position-independent, see telemetry_flags.h): --telemetry,
 // --metrics-out=PATH, --trace-out=PATH, --progress-every=SECS.
@@ -202,9 +204,11 @@ int main(int argc, char** argv) {
     }
     const std::vector<core::EvolutionResult> results =
         miner.RunSearches(specs);
+    // Only results with valid metrics compete: a winner whose predictions
+    // go non-finite on the test dates has no return series to cut against.
     const core::EvolutionResult* r = nullptr;
     for (const core::EvolutionResult& candidate : results) {
-      if (!candidate.has_alpha) continue;
+      if (!candidate.has_alpha || !candidate.best_metrics.valid) continue;
       if (r == nullptr || candidate.best_metrics.sharpe_valid >
                               r->best_metrics.sharpe_valid) {
         r = &candidate;

@@ -262,8 +262,10 @@ int main(int argc, char** argv) {
     round_stats.push_back({core::SearchStats::FromEvolution(seed, r.stats)});
     if (!r.has_alpha) {
       std::printf("round %d: no uncorrelated alpha found\n", round);
-    } else {
-      miner.Accept("alpha_" + std::to_string(round), r.best, r.best_metrics);
+    } else if (!miner.Accept("alpha_" + std::to_string(round), r.best,
+                             r.best_metrics)) {
+      std::printf("round %d: best alpha has invalid metrics, not accepted\n",
+                  round);
     }
     if (campaign_writer != nullptr) {
       ckpt::CampaignState state;

@@ -93,8 +93,8 @@ class Evaluator;
 /// Pluggable fitness: evolution hands the scorer a leased baseline evaluator
 /// plus the cutoff state and receives the fitness to select on. The default
 /// (no scorer installed) is plain baseline ic_valid. Implementations must be
-/// thread-safe — ScoreBatch calls Score from many workers at once — and
-/// deterministic in (program, seed) alone, never in call order.
+/// thread-safe — the evolution driver calls Score from many workers at once
+/// — and deterministic in (program, seed) alone, never in call order.
 class CandidateScorer {
  public:
   virtual ~CandidateScorer() = default;

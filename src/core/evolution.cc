@@ -61,20 +61,9 @@ Evolution::Evolution(Evaluator& evaluator, EvolutionConfig config,
       mutator_(config.mutator),
       accepted_valid_returns_(std::move(accepted_valid_returns)) {
   Init(config);
-  if (config_.num_threads > 1 || config_.intra_candidate_threads > 1) {
-    EvaluatorConfig pool_config = evaluator.config();
-    if (config_.intra_candidate_threads > 0) {
-      pool_config.executor.intra_candidate_threads =
-          config_.intra_candidate_threads;
-    }
-    if (config_.fuse_segments >= 0) {
-      pool_config.executor.fuse_segments = config_.fuse_segments != 0;
-    }
-    if (config_.block_size > 0) {
-      pool_config.executor.block_size = config_.block_size;
-    }
+  if (config_.num_threads > 1) {
     owned_pool_ = std::make_unique<EvaluatorPool>(
-        evaluator.dataset(), pool_config, config_.num_threads);
+        evaluator.dataset(), evaluator.config(), config_.num_threads);
     pool_ = owned_pool_.get();
     serial_evaluator_ = nullptr;
   }
@@ -182,56 +171,6 @@ void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
   cache_->Insert(c.fingerprint, fitness);
 }
 
-void Evolution::ScoreBatch(std::vector<Candidate>& batch) {
-  const int n = static_cast<int>(batch.size());
-
-  // Stage 1 — fingerprints.
-  FingerprintBatch(batch);
-
-  // Stage 2 — cache resolution and intra-batch dedup, in batch order, so
-  // the outcome matches the serial engine scoring the same children one at
-  // a time (a duplicate is exactly a cache hit against an earlier insert).
-  std::unordered_map<uint64_t, int> first_with_fingerprint;
-  std::vector<int> to_evaluate;
-  for (int i = 0; i < n; ++i) {
-    Candidate& c = batch[static_cast<size_t>(i)];
-    if (c.outcome == Candidate::Outcome::kPrunedRedundant) continue;
-    if (auto hit = cache_->Lookup(c.fingerprint)) {
-      c.outcome = Candidate::Outcome::kCacheHit;
-      c.fitness = *hit;
-      continue;
-    }
-    const auto [it, inserted] =
-        first_with_fingerprint.try_emplace(c.fingerprint, i);
-    if (!inserted) {
-      c.outcome = Candidate::Outcome::kDuplicate;
-      c.duplicate_of = it->second;
-      continue;
-    }
-    to_evaluate.push_back(i);
-  }
-
-  // Stage 3 — evaluate the unique remainder in parallel.
-  {
-    AE_SPAN("evolution.evaluate_batch");
-    ForEachEvaluator(
-        static_cast<int>(to_evaluate.size()),
-        [&](Evaluator& evaluator, int k) {
-          EvaluateCandidate(
-              evaluator,
-              batch[static_cast<size_t>(to_evaluate[static_cast<size_t>(k)])]);
-        });
-  }
-
-  // Stage 4 — resolve duplicates against their first occurrence's final
-  // (post-cutoff) fitness, as a serial cache hit would have returned.
-  for (Candidate& c : batch) {
-    if (c.outcome == Candidate::Outcome::kDuplicate) {
-      c.fitness = batch[static_cast<size_t>(c.duplicate_of)].fitness;
-    }
-  }
-}
-
 void Evolution::ApplyScored(const Candidate& candidate) {
   ++stats_.candidates;
   switch (candidate.outcome) {
@@ -289,7 +228,7 @@ EvolutionCheckpoint Evolution::MakeCheckpoint(
   ck.population.reserve(population.size());
   for (const Member& m : population) {
     // Snapshots capture only committed state: at a barrier every member's
-    // fitness is resolved (the pipelined driver drained first).
+    // fitness is resolved (the driver drained its in-flight batches).
     AE_CHECK_MSG(m.pending == nullptr,
                  "checkpoint capture with an unresolved population member");
     ck.population.push_back({m.program, m.fitness});
@@ -365,180 +304,40 @@ EvolutionResult Evolution::Run(const AlphaProgram& init) {
     elapsed_base_ = resume_->stats.elapsed_seconds;
     cache_->Restore(resume_->cache_entries);
   }
-  // Overlapping generation with evaluation needs workers to overlap with;
-  // a poolless (fully serial) evolution always runs the lockstep driver.
-  const bool pipelined = config_.pipeline_depth > 0 && pool_ != nullptr &&
-                         pool_->thread_pool() != nullptr;
-  return pipelined ? RunPipelined(init) : RunSync(init);
+  return RunBatches(init);
 }
 
-EvolutionResult Evolution::RunSync(const AlphaProgram& init) {
-  const auto start = Clock::now();
-  const int batch_cap = EffectiveBatchSize();
-
-  EvolutionResult result;
-  std::deque<Member> population;
-
-  auto out_of_budget = [&]() {
-    if (config_.max_candidates > 0 &&
-        stats_.candidates >= config_.max_candidates) {
-      return true;
-    }
-    return config_.time_budget_seconds > 0.0 &&
-           elapsed_base_ + Seconds(start, Clock::now()) >=
-               config_.time_budget_seconds;
-  };
-  // Cancellation is polled at the same barriers as the budget, so a stopped
-  // run always ends on committed state.
-  auto stop_requested = [&]() {
-    return stop_token_ != nullptr &&
-           stop_token_->load(std::memory_order_acquire);
-  };
-
-  // Candidates left before max_candidates; batches are clamped so the
-  // counter lands exactly on the bound, like the per-child serial check.
-  auto remaining_candidates = [&]() -> int64_t {
-    if (config_.max_candidates <= 0) return batch_cap;
-    return config_.max_candidates - stats_.candidates;
-  };
-
-  double best_so_far = kInvalidFitness;
-  auto record_trajectory = [&](double fitness) {
-    best_so_far = std::max(best_so_far, fitness);
-    if (config_.trajectory_stride > 0 &&
-        stats_.candidates % config_.trajectory_stride == 0) {
-      result.trajectory.emplace_back(stats_.candidates, best_so_far);
-    }
-  };
-
-  // Resume: re-enter the committed state (Run already restored the RNG,
-  // stats and cache). A search killed during P0 continues P0 naturally —
-  // the loop condition only sees the population size.
-  int64_t batches_committed = 0;
-  if (resume_.has_value()) {
-    for (const EvolutionCheckpoint::MemberState& m : resume_->population) {
-      population.push_back({m.program, m.fitness});
-    }
-    best_so_far = resume_->best_so_far;
-    result.trajectory = resume_->trajectory;
-    batches_committed = resume_->batches_committed;
-    resume_.reset();
-  }
-
-  // The batch-commit barrier is the checkpoint seam: everything the batch
-  // changed (stats, trajectory, population, cache inserts) is committed,
-  // nothing of the next batch has started.
-  int64_t last_snapshot_batch = -1;
-  auto maybe_checkpoint = [&]() {
-    ++batches_committed;
-    if (ckpt_sink_ == nullptr ||
-        !ckpt_sink_->WantCheckpoint(batches_committed)) {
-      return;
-    }
-    ckpt_sink_->WriteCheckpoint(MakeCheckpoint(
-        batches_committed, elapsed_base_ + Seconds(start, Clock::now()),
-        best_so_far, result, population));
-    last_snapshot_batch = batches_committed;
-  };
-
-  // P0: mutations of the starting parent (§3 step 1), in batches.
-  while (static_cast<int>(population.size()) < config_.population_size &&
-         !out_of_budget() && !stop_requested()) {
-    const int b = static_cast<int>(std::min<int64_t>(
-        std::min<int64_t>(batch_cap, remaining_candidates()),
-        config_.population_size - static_cast<int>(population.size())));
-    std::vector<Candidate> batch(static_cast<size_t>(b));
-    {
-      AE_SPAN("evolution.generate");
-      for (Candidate& c : batch) c.program = mutator_.Mutate(init, rng_);
-    }
-    ScoreBatch(batch);
-    {
-      AE_SPAN("evolution.commit");
-      for (Candidate& c : batch) {
-        ApplyScored(c);
-        record_trajectory(c.fitness);
-        population.push_back({std::move(c.program), c.fitness});
-      }
-    }
-    maybe_checkpoint();
-  }
-
-  // Regularized evolution: draw B tournament parents against the pre-batch
-  // population, mutate B children, score the batch, then insert/age in
-  // batch order (with B = 1 this is exactly the classic serial loop).
-  while (!out_of_budget() && !stop_requested() && !population.empty()) {
-    const int b = static_cast<int>(
-        std::min<int64_t>(batch_cap, remaining_candidates()));
-    std::vector<Candidate> batch(static_cast<size_t>(b));
-    {
-      AE_SPAN("evolution.generate");
-      for (Candidate& c : batch) {
-        int best_idx = rng_.UniformInt(static_cast<int>(population.size()));
-        for (int t = 1; t < config_.tournament_size; ++t) {
-          const int idx =
-              rng_.UniformInt(static_cast<int>(population.size()));
-          if (population[static_cast<size_t>(idx)].fitness >
-              population[static_cast<size_t>(best_idx)].fitness) {
-            best_idx = idx;
-          }
-        }
-        c.program =
-            mutator_.Mutate(population[static_cast<size_t>(best_idx)].program,
-                            rng_);
-      }
-    }
-    ScoreBatch(batch);
-    {
-      AE_SPAN("evolution.commit");
-      for (Candidate& c : batch) {
-        ApplyScored(c);
-        record_trajectory(c.fitness);
-        population.push_back({std::move(c.program), c.fitness});
-        population.pop_front();
-      }
-    }
-    maybe_checkpoint();
-  }
-
-  stats_.elapsed_seconds = elapsed_base_ + Seconds(start, Clock::now());
-  result.stats = stats_;
-  result.stopped = stop_requested() && !out_of_budget();
-  // A stopped run leaves a snapshot of its final barrier (unless the cadence
-  // just wrote one there), so cancellation is always resumable.
-  if (result.stopped && ckpt_sink_ != nullptr &&
-      last_snapshot_batch != batches_committed) {
-    ckpt_sink_->WriteCheckpoint(MakeCheckpoint(
-        batches_committed, stats_.elapsed_seconds, best_so_far, result,
-        population));
-  }
-  FinishResult(result, population);
-  return result;
-}
-
-// The async pipelined driver. One driving thread generates batches —
-// mutation, pruning, fingerprinting, speculative cache resolution,
-// population insertion — while up to `pipeline_depth` earlier batches
-// evaluate on the pool; commits happen strictly in batch order. Bit-parity
-// with RunSync rests on three invariants:
+// The batch driver. One driving thread generates batches — mutation,
+// pruning, fingerprinting, speculative cache resolution, population
+// insertion — while up to `pipeline_depth` earlier batches evaluate on the
+// pool; commits happen strictly in batch order. At depth 0 nothing is in
+// flight while a batch is generated (generate, wait, commit, repeat), so
+// the frontier and Member::pending are never consulted: that lockstep
+// schedule is the reference every depth must reproduce bit for bit. Parity
+// rests on three invariants:
 //
 //  1. Every value the generator consumes is either deterministic (the RNG
 //     stream, program mutations, fingerprints) or an exact fitness: a
 //     tournament draw that lands on a still-in-flight member waits for that
 //     one member's fitness (helping the pool while it does), never guesses.
 //  2. The in-flight frontier (fingerprint → evaluating candidate) stands in
-//     for exactly the cache inserts the synchronous driver would have
-//     committed before this batch; probing frontier-then-cache therefore
-//     reproduces the synchronous hit/evaluated split — and the cache ends
-//     with identical contents — for a non-shared cache at any depth.
+//     for exactly the cache inserts depth 0 would have committed before
+//     this batch; probing frontier-then-cache therefore reproduces the
+//     depth-0 hit/evaluated split — and the cache ends with identical
+//     contents — for a non-shared cache at any depth.
 //  3. Stats, trajectory and cutoff accounting are applied at commit, in
 //     batch order, from fitnesses that are final by then.
 //
+// Without worker threads (a bare Evaluator, or a 1-thread pool) stage 3
+// runs inline on the driving thread, so every batch is already scored when
+// it enters the pipeline; the schedule, and with it every result, is
+// unchanged.
+//
 // With a *shared* round cache, sibling searches insert concurrently, so the
-// hit/evaluated split is schedule-dependent — exactly as it already is for
-// the synchronous driver (see EvolutionConfig::share_round_cache); results
-// are unaffected because sharers score the same fitness function.
-EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
+// hit/evaluated split is schedule-dependent at every depth (see
+// EvolutionConfig::share_round_cache); results are unaffected because
+// sharers score the same fitness function.
+EvolutionResult Evolution::RunBatches(const AlphaProgram& init) {
   const auto start = Clock::now();
   const int batch_cap = EffectiveBatchSize();
   const int depth = config_.pipeline_depth;
@@ -550,7 +349,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   // destructor waits out any still-winding-down worker task, so the batches
   // in `in_flight` can never be freed under a live task.
   std::deque<std::unique_ptr<PipelineBatch>> in_flight;
-  TaskGroup group(pool_->thread_pool());
+  TaskGroup group(pool_ != nullptr ? pool_->thread_pool() : nullptr);
   // Fingerprints whose unique evaluation is in flight (uncommitted), with
   // the candidate that owns it. Touched only by the driving thread.
   std::unordered_map<uint64_t, std::pair<Candidate*, int64_t>> frontier;
@@ -575,7 +374,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   };
 
   // The budget gate for *generation* counts planned (not yet committed)
-  // candidates, so the batch-size sequence matches RunSync's, where each
+  // candidates, so the batch-size sequence matches depth 0's, where each
   // batch is fully committed before the next size is computed.
   auto out_of_budget = [&]() {
     if (config_.max_candidates > 0 &&
@@ -588,7 +387,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   };
   // Cancellation parks generation exactly like an exhausted budget: the
   // driver loop below then drains every in-flight batch, so the run ends on
-  // committed (sync-driver-identical) state.
+  // committed state (the depth-0 state at the same batch count).
   auto stop_requested = [&]() {
     return stop_token_ != nullptr &&
            stop_token_->load(std::memory_order_acquire);
@@ -603,8 +402,10 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
     }
   };
 
-  // Resume: identical to RunSync's re-entry — a snapshot is always drained
-  // state, so the two drivers resume from the very same struct.
+  // Resume: re-enter the committed state (Run already restored the RNG,
+  // stats and cache). A snapshot is always drained state, so every depth
+  // resumes from the very same struct; a search killed during P0 continues
+  // P0 naturally, since the phase is read off the population size.
   int64_t batches_committed = 0;
   if (resume_.has_value()) {
     for (const EvolutionCheckpoint::MemberState& m : resume_->population) {
@@ -620,8 +421,8 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
   auto generate_batch = [&]() {
     AE_SPAN("evolution.generate");
-    // Same clamping as RunSync: land exactly on max_candidates, and during
-    // P0 never overshoot the population size.
+    // Land exactly on max_candidates, and during P0 (mutations of the
+    // starting parent, §3 step 1) never overshoot the population size.
     int64_t b64 = batch_cap;
     if (config_.max_candidates > 0) {
       b64 = std::min(b64, config_.max_candidates - planned_candidates);
@@ -639,8 +440,9 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
     planned_candidates += b;
 
     // Mutation. Tournament parents are drawn against the population as of
-    // the previous batch's (speculative) insertion — the same state RunSync
-    // sees, since insertions happen in generation order.
+    // the previous batch's (speculative) insertion — the same state depth 0
+    // sees, since insertions happen in generation order. With B = 1 this is
+    // exactly the classic serial loop.
     for (Candidate& c : batch->candidates) {
       if (init_phase) {
         c.program = mutator_.Mutate(init, rng_);
@@ -666,7 +468,8 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
     // Stage 2 — speculative cache resolution in batch order. The frontier
     // is probed before the cache: an in-flight fingerprint would already be
-    // a committed insert by the time RunSync scored this batch.
+    // a committed insert by the time depth 0 scored this batch. Within the
+    // batch, a repeat is exactly a cache hit against its first occurrence.
     std::unordered_map<uint64_t, int> first_with_fingerprint;
     for (int i = 0; i < b; ++i) {
       Candidate& c = batch->candidates[static_cast<size_t>(i)];
@@ -693,7 +496,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
       batch->to_evaluate.push_back(i);
     }
     // Only now does the batch join the frontier: its own repeats must stay
-    // kDuplicate, exactly as in the synchronous stage 2.
+    // kDuplicate.
     for (const int idx : batch->to_evaluate) {
       Candidate& c = batch->candidates[static_cast<size_t>(idx)];
       frontier.emplace(c.fingerprint, std::make_pair(&c, batch->serial));
@@ -701,8 +504,8 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
     // Population update (speculative): the programs enter now so the next
     // batch's tournaments see them; in-flight fitnesses resolve via
-    // `pending`. The push/pop sequence is identical to RunSync's commit
-    // loop because batches are generated in commit order.
+    // `pending`. The push/pop sequence is identical to depth 0's because
+    // batches are generated in commit order.
     for (int i = 0; i < b; ++i) {
       Candidate& c = batch->candidates[static_cast<size_t>(i)];
       Member m;
@@ -732,22 +535,28 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
       population.push_back(std::move(m));
       if (!init_phase) population.pop_front();
     }
+    return batch;
+  };
 
-    // Stage 3 — launch the unique evaluations asynchronously and return
-    // without waiting; per-item completions are published for hazard
-    // resolution and the batch counter for commit.
+  // Stage 3 — launch the batch's unique evaluations and return without
+  // waiting; per-item completions are published for hazard resolution and
+  // the batch counter for commit. Poolless, the items run inline here.
+  auto launch_batch = [&](std::unique_ptr<PipelineBatch> batch) {
     PipelineBatch* bp = batch.get();
-    pool_->ForEachAsync(
-        static_cast<int>(batch->to_evaluate.size()),
-        [this, bp, &group](Evaluator& evaluator, int k) {
-          Candidate& c = bp->candidates[static_cast<size_t>(
-              bp->to_evaluate[static_cast<size_t>(k)])];
-          EvaluateCandidate(evaluator, c);
-          c.ready.store(true, std::memory_order_release);
-          bp->items_done.fetch_add(1, std::memory_order_acq_rel);
-          group.Notify();
-        },
-        group);
+    const auto evaluate = [this, bp, &group](Evaluator& evaluator, int k) {
+      Candidate& c = bp->candidates[static_cast<size_t>(
+          bp->to_evaluate[static_cast<size_t>(k)])];
+      EvaluateCandidate(evaluator, c);
+      c.ready.store(true, std::memory_order_release);
+      bp->items_done.fetch_add(1, std::memory_order_acq_rel);
+      group.Notify();
+    };
+    const int n_eval = static_cast<int>(bp->to_evaluate.size());
+    if (pool_ != nullptr) {
+      pool_->ForEachAsync(n_eval, evaluate, group);
+    } else {
+      ForEachEvaluator(n_eval, evaluate);
+    }
     in_flight.push_back(std::move(batch));
     SearchCounters::Get().inflight_batches.Set(
         static_cast<int64_t>(in_flight.size()));
@@ -804,21 +613,21 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
   // The driver loop: fill the pipeline up to `depth` in-flight batches,
   // then alternate commit-oldest / generate-next; drain when the budget is
-  // exhausted. (The P0 and regularized-evolution phases of RunSync collapse
-  // into one loop here: a batch mutates the starting parent while the
-  // population is still below size, and tournament parents afterwards.)
+  // exhausted. P0 and regularized evolution share the loop: a batch mutates
+  // the starting parent while the population is still below size, and
+  // tournament parents afterwards.
   //
   // Checkpointing: a due checkpoint flips `checkpoint_pending`, which parks
   // generation and drains the pipeline (commit-only) until nothing is in
-  // flight — drained state is exactly the synchronous driver's state at the
-  // same committed-batch count, so one snapshot format serves both drivers
-  // and resume is bit-identical at any depth. Commit order, and with it
-  // every result, is unchanged; the drain only costs a pipeline refill.
+  // flight — drained state is exactly the depth-0 state at the same
+  // committed-batch count, so one snapshot format serves every depth and
+  // resume is bit-identical at any depth. Commit order, and with it every
+  // result, is unchanged; the drain only costs a pipeline refill.
   int64_t last_snapshot_batch = -1;
   for (;;) {
     if (!checkpoint_pending && !out_of_budget() && !stop_requested() &&
         static_cast<int>(in_flight.size()) <= depth) {
-      generate_batch();
+      launch_batch(generate_batch());
       continue;
     }
     if (!in_flight.empty()) {
@@ -844,8 +653,9 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   stats_.elapsed_seconds = elapsed_base_ + Seconds(start, Clock::now());
   result.stats = stats_;
   result.stopped = stop_requested() && !out_of_budget();
-  // Same contract as RunSync: a stopped run's final barrier is always
-  // snapshotted (the pipeline is drained by the time we get here).
+  // A stopped run leaves a snapshot of its final barrier (unless the cadence
+  // just wrote one there), so cancellation is always resumable; the
+  // pipeline is drained by the time we get here.
   if (result.stopped && ckpt_sink_ != nullptr &&
       last_snapshot_batch != batches_committed) {
     ckpt_sink_->WriteCheckpoint(MakeCheckpoint(

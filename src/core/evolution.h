@@ -57,26 +57,10 @@ struct EvolutionConfig {
 
   /// Worker threads for batched candidate scoring. When Evolution is built
   /// from a bare Evaluator and num_threads > 1, it spins up an internal
-  /// EvaluatorPool over the same dataset; when built from an external
-  /// EvaluatorPool, the pool's own thread count governs.
+  /// EvaluatorPool over the same dataset and evaluator config (executor
+  /// knobs such as intra-candidate sharding come from there); when built
+  /// from an external EvaluatorPool, the pool's own thread count governs.
   int num_threads = 1;
-
-  /// Task shards per candidate execution (intra-candidate parallelism; see
-  /// ExecutorConfig::intra_candidate_threads). 0 inherits the evaluator's
-  /// executor config; > 0 overrides it when Evolution builds its internal
-  /// pool. Composes with num_threads on one shared set of workers.
-  int intra_candidate_threads = 0;
-
-  /// Fused-kernel toggle for candidate execution
-  /// (ExecutorConfig::fuse_segments): -1 inherits the evaluator's executor
-  /// config, 0 forces the reference interpreter, 1 forces fused micro-op
-  /// kernels. Applied when Evolution builds its internal pool, like
-  /// intra_candidate_threads. Bit-identical either way.
-  int fuse_segments = -1;
-
-  /// Tasks per cache block in the fused path (ExecutorConfig::block_size):
-  /// 0 inherits, > 0 overrides. Bit-identical at any value.
-  int block_size = 0;
 
   /// Children generated, scored, and inserted per evolution step (the batch
   /// width B of batched regularized evolution). Tournament parents for a
@@ -94,17 +78,18 @@ struct EvolutionConfig {
   ScenarioFitnessOptions scenario_fitness;
 
   /// Evaluation batches the driver may keep in flight while it generates
-  /// (mutates, prunes, fingerprints) the next one. 0 runs the synchronous
-  /// lockstep driver: the driving thread blocks while each batch is scored.
-  /// >= 1 runs the async pipelined driver: batch N evaluates on the pool
-  /// while batch N+1 is generated, with results committed strictly in batch
-  /// order — accepted alphas, stats, trajectory, and cache contents are
-  /// bit-identical to depth 0 for the same (seed, batch_size) at every
-  /// depth and thread count (tournament draws against a still-evaluating
-  /// member wait for exactly that member's fitness, never the whole batch).
-  /// Ignored (synchronous) without an evaluator pool. Depths > 1 help when
-  /// generation cost per batch approaches evaluation cost (functional
-  /// fingerprints, large programs).
+  /// (mutates, prunes, fingerprints) the next one. At 0 each batch is
+  /// generated, scored and committed before the next is generated. At >= 1
+  /// batch N evaluates on the pool while batch N+1 is generated, with
+  /// results committed strictly in batch order — accepted alphas, stats,
+  /// trajectory, and cache contents are bit-identical to depth 0 for the
+  /// same (seed, batch_size) at every depth and thread count (tournament
+  /// draws against a still-evaluating member wait for exactly that member's
+  /// fitness, never the whole batch). Without worker threads (a bare
+  /// Evaluator or a 1-thread pool) evaluation runs inline on the driving
+  /// thread, so the depth changes only the schedule, never a result.
+  /// Depths > 1 help when generation cost per batch approaches evaluation
+  /// cost (functional fingerprints, large programs).
   int pipeline_depth = 1;
 
   /// Observability knobs. Run() applies them process-globally via
@@ -177,10 +162,10 @@ struct EvolutionResult {
 /// cursor (raw xoshiro words, no draw replay), the population with resolved
 /// fitnesses, counters, the trajectory so far, and the fingerprint-cache
 /// contents in canonical (sorted) order. Captured only between batches, when
-/// no evaluation is in flight; the pipelined driver drains its in-flight
-/// batches first, which leaves exactly the synchronous driver's state at the
-/// same committed-batch count. The ckpt layer serializes this struct; core
-/// stays free of any file-format dependency.
+/// no evaluation is in flight; at depth >= 1 the driver drains its in-flight
+/// batches first, which leaves exactly the depth-0 state at the same
+/// committed-batch count. The ckpt layer serializes this struct; core stays
+/// free of any file-format dependency.
 struct EvolutionCheckpoint {
   uint64_t config_seed = 0;  ///< EvolutionConfig::seed that produced it.
   int64_t batches_committed = 0;
@@ -207,10 +192,10 @@ class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
   /// Called once per batch commit with the committed-batch count. Returning
-  /// true asks the driver to capture a snapshot at the next safe barrier
-  /// (immediately for the lockstep driver; after draining in-flight batches
-  /// for the pipelined one). The sink owns the cadence policy — every N
-  /// batches, every N seconds, throttled.
+  /// true asks the driver to capture a snapshot at the next safe barrier,
+  /// once the batches still in flight have drained (none are at depth 0).
+  /// The sink owns the cadence policy — every N batches, every N seconds,
+  /// throttled.
   virtual bool WantCheckpoint(int64_t batches_committed) = 0;
   /// Receives the captured snapshot; the sink owns durability and is free
   /// to fail internally (a failed write must not stop the search).
@@ -230,7 +215,7 @@ class CheckpointSink {
 /// candidates evaluate asynchronously, the driving thread already generates
 /// the next batch, probing speculatively against the in-flight frontier and
 /// reconciling at commit. Results depend only on (seed, batch_size), never
-/// on the thread count or the pipeline depth.
+/// on the thread count, the pipeline depth, or whether a pool is present.
 class Evolution {
  public:
   /// `accepted_valid_returns` holds the validation portfolio-return series
@@ -264,14 +249,15 @@ class Evolution {
   /// the correlation cutoff — instead of the plain baseline evaluation.
   /// The scorer must be thread-safe and outlive Run; nullptr restores the
   /// default. Cache semantics are unchanged (the cached value is whatever
-  /// fitness the scorer returned), and so are both drivers' determinism
-  /// guarantees, since Score is deterministic in (program, seed).
+  /// fitness the scorer returned), and so is the determinism guarantee
+  /// across depths and thread counts, since Score is deterministic in
+  /// (program, seed).
   void UseCandidateScorer(CandidateScorer* scorer) { scorer_ = scorer; }
 
   /// Installs a cooperative cancellation token (nullptr removes it): the
-  /// drivers poll it at every batch barrier — the same seam the budget gate
-  /// uses — and stop generating once it reads true. The pipelined driver
-  /// drains its in-flight batches first, so the run always ends at committed
+  /// driver polls it at every batch barrier — the same seam the budget gate
+  /// uses — and stops generating once it reads true. It drains its
+  /// in-flight batches first, so the run always ends at committed
   /// state; with a checkpoint sink installed a final snapshot of that
   /// barrier is forced (whatever the sink's cadence), which is what lets an
   /// op-level cancel or deadline leave a resumable stream behind. The token
@@ -325,7 +311,7 @@ class Evolution {
     bool timed_out = false;      ///< abandoned by the evaluation watchdog
     int regimes_evaluated = 0;   ///< full evaluations paid (scorer only)
 
-    // Async pipeline state (untouched by the synchronous driver).
+    // In-flight state (consulted only at pipeline depth >= 1).
     /// Published by the evaluating worker once `fitness`/`cutoff_discarded`
     /// are final; the generator reads them only after an acquire load.
     std::atomic<bool> ready{false};
@@ -335,10 +321,10 @@ class Evolution {
     int64_t hit_source_batch = -1;  ///< serial of hit_source's batch
   };
 
-  /// Population entry. In the pipelined driver, children enter with their
-  /// evaluation still in flight: `pending` points at the candidate that will
-  /// supply `fitness` (resolved lazily by a tournament draw, or at that
-  /// batch's commit — whichever comes first).
+  /// Population entry. Children enter with their evaluation possibly still
+  /// in flight: `pending` points at the candidate that will supply
+  /// `fitness` (resolved lazily by a tournament draw, or at that batch's
+  /// commit — whichever comes first).
   struct Member {
     AlphaProgram program;
     double fitness = kInvalidFitness;
@@ -346,7 +332,7 @@ class Evolution {
     int64_t pending_batch = -1;  ///< serial of the batch owning `pending`
   };
 
-  /// One batch in flight through the async pipeline.
+  /// One batch between generation and commit.
   struct PipelineBatch {
     int64_t serial = 0;        ///< generation (= commit) order
     std::vector<Candidate> candidates;
@@ -364,10 +350,6 @@ class Evolution {
   /// Stage 3 body: full evaluation + correlation cutoff + cache publish for
   /// one unique candidate. Deterministic in (program, eval_seed).
   void EvaluateCandidate(Evaluator& evaluator, Candidate& c);
-  /// Scores a batch through the prune → fingerprint → cache → evaluate →
-  /// cutoff pipeline, synchronously. Stats are NOT updated here (see
-  /// ApplyScored).
-  void ScoreBatch(std::vector<Candidate>& batch);
   /// Folds one scored candidate into the stats, in batch order.
   void ApplyScored(const Candidate& candidate);
   /// Re-evaluates the winning program with test-side metrics included.
@@ -378,11 +360,10 @@ class Evolution {
                                      double elapsed, double best_so_far,
                                      const EvolutionResult& result,
                                      const std::deque<Member>& population);
-  /// The lockstep driver (pipeline_depth == 0, or no pool to overlap with).
-  EvolutionResult RunSync(const AlphaProgram& init);
-  /// The bounded producer/consumer driver (pipeline_depth >= 1).
-  EvolutionResult RunPipelined(const AlphaProgram& init);
-  /// Shared tail: final selection + full re-evaluation of the winner.
+  /// The bounded producer/consumer driver: up to pipeline_depth batches
+  /// evaluate while the next one is generated (none at depth 0).
+  EvolutionResult RunBatches(const AlphaProgram& init);
+  /// End of a run: final selection + full re-evaluation of the winner.
   void FinishResult(EvolutionResult& result, std::deque<Member>& population);
 
   Evaluator* serial_evaluator_ = nullptr;  ///< set when no pool drives us

@@ -104,11 +104,13 @@ std::vector<EvolutionResult> WeaklyCorrelatedMiner::RunSearches(
   return results;
 }
 
-void WeaklyCorrelatedMiner::Accept(std::string name,
+bool WeaklyCorrelatedMiner::Accept(std::string name,
                                    const AlphaProgram& program,
                                    const AlphaMetrics& metrics) {
+  if (!metrics.valid) return false;
   accepted_.push_back({std::move(name), program, metrics});
   if (accept_hook_) accept_hook_(accepted_.back());
+  return true;
 }
 
 double WeaklyCorrelatedMiner::CorrelationWithAccepted(

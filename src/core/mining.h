@@ -135,8 +135,12 @@ class WeaklyCorrelatedMiner {
     return last_round_stats_;
   }
 
-  /// Admits an alpha into A.
-  void Accept(std::string name, const AlphaProgram& program,
+  /// Admits an alpha into A and returns true. Refuses (returns false, leaves
+  /// A unchanged, skips the accept hook) an alpha whose metrics are invalid —
+  /// e.g. a search winner whose predictions go non-finite on the test
+  /// dates: it has no validation return series, so every later correlation
+  /// cutoff against it would compare series of different lengths.
+  bool Accept(std::string name, const AlphaProgram& program,
               const AlphaMetrics& metrics);
 
   /// Optional observer invoked synchronously on the caller after each

@@ -14,9 +14,9 @@ namespace alphaevolve {
 
 /// Completion tracking for tasks submitted to a ThreadPool by one driving
 /// thread — the future/completion-queue primitive behind asynchronous
-/// pipelines (EvaluatorPool::EvaluateBatchAsync, the pipelined evolution
-/// driver). Where ThreadPool::WaitAll blocks on the *whole pool*, a
-/// TaskGroup scopes waiting to its own submissions and supports waiting on
+/// pipelines (EvaluatorPool::ForEachAsync, the evolution batch driver).
+/// Where ThreadPool::WaitAll blocks on the *whole pool*, a TaskGroup
+/// scopes waiting to its own submissions and supports waiting on
 /// arbitrary intermediate conditions ("this one candidate's fitness
 /// landed"), not just full drain.
 ///

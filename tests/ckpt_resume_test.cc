@@ -1,8 +1,8 @@
 // The tentpole determinism contract: a search resumed from any batch-barrier
 // snapshot finishes bit-identical to the uninterrupted run — same best
 // program, fitness, stats counters (except wall-clock), trajectory, and
-// fingerprint-cache contents — across the synchronous and pipelined drivers
-// and across thread counts. Covers the in-memory sink path (every snapshot
+// fingerprint-cache contents — across pipeline depths and thread counts,
+// with or without an evaluator pool. Covers the in-memory sink path (every snapshot
 // the driver captures is a valid resume point), the on-disk
 // CheckpointWriter -> LoadNewest -> DecodeSearchSnapshot path, and recovery
 // when the newest on-disk generation is torn.
@@ -97,9 +97,10 @@ class CkptResumeTest : public ::testing::Test {
 market::Dataset* CkptResumeTest::dataset_ = nullptr;
 
 TEST_F(CkptResumeTest, EverySnapshotIsABitIdenticalResumePoint) {
-  // Serial synchronous driver: the uninterrupted reference, then a
-  // checkpointed run (which must itself be unperturbed), then a fresh
-  // search resumed from EVERY recorded snapshot.
+  // Poolless search over a bare Evaluator: the uninterrupted depth-0
+  // reference, then — at depth 0 and at depth 2, where evaluation runs
+  // inline behind the pipeline — a checkpointed run (which must itself be
+  // unperturbed), then a fresh search resumed from EVERY recorded snapshot.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
   Evaluator evaluator(*dataset_, EvaluatorConfig{});
@@ -110,40 +111,44 @@ TEST_F(CkptResumeTest, EverySnapshotIsABitIdenticalResumePoint) {
   ASSERT_TRUE(reference.has_alpha);
   const auto reference_cache = reference_evo.CacheSnapshot();
 
-  RecordingSink sink(/*every_batches=*/4);
-  Evolution recorded_evo(evaluator, cfg);
-  recorded_evo.UseCheckpointSink(&sink);
-  const EvolutionResult recorded = recorded_evo.Run(init);
-  ExpectIdentical(reference, recorded);  // checkpointing never perturbs
-  ASSERT_GE(sink.snapshots.size(), 5u);
+  for (const int depth : {0, 2}) {
+    SCOPED_TRACE(::testing::Message() << "depth=" << depth);
+    cfg.pipeline_depth = depth;
+    RecordingSink sink(/*every_batches=*/4);
+    Evolution recorded_evo(evaluator, cfg);
+    recorded_evo.UseCheckpointSink(&sink);
+    const EvolutionResult recorded = recorded_evo.Run(init);
+    ExpectIdentical(reference, recorded);  // checkpointing never perturbs
+    ASSERT_GE(sink.snapshots.size(), 5u);
 
-  int64_t prev_batches = 0;
-  for (size_t i = 0; i < sink.snapshots.size(); ++i) {
-    const EvolutionCheckpoint& snap = sink.snapshots[i];
-    SCOPED_TRACE(::testing::Message()
-                 << "snapshot " << i << " @ batch " << snap.batches_committed);
-    EXPECT_GT(snap.batches_committed, prev_batches);
-    prev_batches = snap.batches_committed;
-    EXPECT_EQ(snap.config_seed, cfg.seed);
-    // Batches are at most batch_size candidates wide (shorter ones occur —
-    // e.g. the driver clips against the candidate budget).
-    EXPECT_GT(snap.stats.candidates, 0);
-    EXPECT_LE(snap.stats.candidates,
-              snap.batches_committed * cfg.batch_size);
+    int64_t prev_batches = 0;
+    for (size_t i = 0; i < sink.snapshots.size(); ++i) {
+      const EvolutionCheckpoint& snap = sink.snapshots[i];
+      SCOPED_TRACE(::testing::Message() << "snapshot " << i << " @ batch "
+                                        << snap.batches_committed);
+      EXPECT_GT(snap.batches_committed, prev_batches);
+      prev_batches = snap.batches_committed;
+      EXPECT_EQ(snap.config_seed, cfg.seed);
+      // Batches are at most batch_size candidates wide (shorter ones occur —
+      // e.g. the driver clips against the candidate budget).
+      EXPECT_GT(snap.stats.candidates, 0);
+      EXPECT_LE(snap.stats.candidates,
+                snap.batches_committed * cfg.batch_size);
 
-    Evolution resumed_evo(evaluator, cfg);
-    resumed_evo.ResumeFrom(snap);
-    const EvolutionResult resumed = resumed_evo.Run(init);
-    ExpectIdentical(reference, resumed);
-    EXPECT_EQ(resumed_evo.CacheSnapshot(), reference_cache);
+      Evolution resumed_evo(evaluator, cfg);
+      resumed_evo.ResumeFrom(snap);
+      const EvolutionResult resumed = resumed_evo.Run(init);
+      ExpectIdentical(reference, resumed);
+      EXPECT_EQ(resumed_evo.CacheSnapshot(), reference_cache);
+    }
   }
 }
 
 TEST_F(CkptResumeTest, ResumeParityAcrossThreadsAndDepths) {
   // The acceptance matrix: threads {1, 8} x pipeline depths {0, 2}. One
   // shared serial reference; each cell records its own snapshots (captures
-  // happen at drained barriers, so the pipelined driver's snapshots are the
-  // synchronous driver's states) and resumes from first, middle, and last.
+  // happen at drained barriers, so depth-2 snapshots are depth-0 states)
+  // and resumes from first, middle, and last.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
   Evaluator evaluator(*dataset_, EvaluatorConfig{});

@@ -138,7 +138,7 @@ TEST_F(EvolutionTest, CutoffSuppressesCorrelatedCandidates) {
   WeaklyCorrelatedMiner miner(*evaluator_, cfg);
   const EvolutionResult r0 = miner.RunSearch(MakeExpertAlpha(13), 8);
   ASSERT_TRUE(r0.has_alpha);
-  miner.Accept("round0", r0.best, r0.best_metrics);
+  ASSERT_TRUE(miner.Accept("round0", r0.best, r0.best_metrics));
 
   // Round 1 must discard some candidates for correlation and, if it finds
   // an alpha, the accepted-set correlation must respect the cutoff.
@@ -160,6 +160,25 @@ TEST_F(EvolutionTest, FunctionalFingerprintModeAlsoSearches) {
   EXPECT_EQ(r.stats.pruned_redundant, 0);
   EXPECT_GT(r.stats.cache_hits, 0);
   EXPECT_TRUE(r.has_alpha);
+}
+
+TEST_F(EvolutionTest, MinerRefusesAlphaWithInvalidMetrics) {
+  // A search winner whose predictions go non-finite on the test dates comes
+  // back with invalid metrics and no validation return series. Admitting it
+  // would make the next search's cutoff correlate series of different
+  // lengths, which fails a CHECK inside the evaluation.
+  EvolutionConfig cfg;
+  cfg.max_candidates = 200;
+  WeaklyCorrelatedMiner miner(*evaluator_, cfg);
+  int hook_calls = 0;
+  miner.set_accept_hook([&](const AcceptedAlpha&) { ++hook_calls; });
+  EXPECT_FALSE(miner.Accept("invalid", MakeExpertAlpha(13), AlphaMetrics{}));
+  EXPECT_TRUE(miner.accepted().empty());
+  EXPECT_EQ(hook_calls, 0);
+
+  const EvolutionResult r = miner.RunSearch(MakeExpertAlpha(13), 11);
+  EXPECT_TRUE(r.has_alpha);
+  EXPECT_EQ(r.stats.cutoff_discarded, 0);
 }
 
 TEST_F(EvolutionTest, MinerCorrelationWithAcceptedIsNanWhenEmpty) {

@@ -1,11 +1,11 @@
-// Determinism contract of the async pipelined evolution driver: at every
-// pipeline depth and thread count, Evolution::Run must produce accepted
-// alphas, fitnesses, stats counters, trajectory, and fingerprint-cache
-// contents bit-identical to the synchronous lockstep driver
-// (pipeline_depth = 0) for the same (seed, batch_size) — including runs
-// that share one round cache, where per-search attribution must be
-// unchanged when sharers run sequentially. Also covers the async pool
-// primitives the driver is built on (TaskGroup, EvaluateBatchAsync).
+// Determinism contract of the evolution batch driver: at every pipeline
+// depth and thread count — with or without worker threads — Evolution::Run
+// must produce accepted alphas, fitnesses, stats counters, trajectory, and
+// fingerprint-cache contents bit-identical to depth 0 (each batch committed
+// before the next is generated) for the same (seed, batch_size) — including
+// runs that share one round cache, where per-search attribution must be
+// unchanged when sharers run sequentially. Also covers the completion
+// primitive the driver is built on (TaskGroup).
 
 #include <atomic>
 #include <cstdint>
@@ -71,9 +71,12 @@ class PipelinedEvolutionTest : public ::testing::Test {
 market::Dataset* PipelinedEvolutionTest::dataset_ = nullptr;
 
 TEST_F(PipelinedEvolutionTest, BitIdenticalToSynchronousAcrossDepthsThreads) {
-  // The acceptance matrix: depths {1, 2, 4} x threads {1, 8} against the
-  // synchronous driver, in both fingerprint modes. The depth-0 reference
-  // uses yet another thread count (4) to also pin thread invariance.
+  // The acceptance matrix: depths {1, 2, 4} x threads {1, 8} against depth
+  // 0, in both fingerprint modes. The depth-0 reference uses yet another
+  // thread count (4) to also pin thread invariance. A 1-thread pool owns no
+  // worker threads, so its evaluations run inline on the driving thread;
+  // a search over a bare Evaluator (no pool at all) takes the same inline
+  // path through its own evaluator, at depths {1, 2}.
   for (const bool use_pruning : {true, false}) {
     EvolutionConfig cfg = BaseConfig();
     cfg.use_pruning = use_pruning;
@@ -97,12 +100,23 @@ TEST_F(PipelinedEvolutionTest, BitIdenticalToSynchronousAcrossDepthsThreads) {
         ExpectIdentical(reference, r);
       }
     }
+    Evaluator evaluator(*dataset_, EvaluatorConfig{});
+    for (const int depth : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << "pruning=" << use_pruning
+                                        << " depth=" << depth
+                                        << " bare evaluator");
+      cfg.pipeline_depth = depth;
+      Evolution evo(evaluator, cfg);
+      ExpectIdentical(reference,
+                      evo.Run(MakeExpertAlpha(dataset_->window())));
+    }
   }
 }
 
 TEST_F(PipelinedEvolutionTest, CutoffAccountingMatchesSynchronous) {
   // With an accepted set in play, the weak-correlation cutoff runs inside
-  // the async stage; discard decisions and counters must not move.
+  // the async stage; discard decisions and counters must not move from
+  // depth 0's.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
@@ -127,11 +141,10 @@ TEST_F(PipelinedEvolutionTest, CutoffAccountingMatchesSynchronous) {
 
 TEST_F(PipelinedEvolutionTest, SharedRoundCacheSequentialAttributionUnchanged) {
   // Two searches sharing one round cache, run back to back (the
-  // deterministic sharing schedule): the pipelined driver must reproduce
-  // the synchronous per-search hit/evaluated attribution exactly, and leave
-  // the shared cache with the same number of entries — its speculative
-  // frontier probes stand in for precisely the inserts the synchronous
-  // driver would have committed.
+  // deterministic sharing schedule): depth 2 must reproduce depth 0's
+  // per-search hit/evaluated attribution exactly, and leave the shared
+  // cache with the same number of entries — its speculative frontier probes
+  // stand in for precisely the inserts depth 0 would have committed.
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
   auto run_pair = [&](int depth, FingerprintCache* cache,
                       std::vector<EvolutionResult>* out) {
@@ -161,7 +174,7 @@ TEST_F(PipelinedEvolutionTest, SharedRoundCacheSequentialAttributionUnchanged) {
   }
   // The second search must actually have hit the first one's entries, and
   // the cache contents (entry count; values are determined by fingerprints)
-  // must match the synchronous run's.
+  // must match the depth-0 run's.
   EXPECT_GT(sync_results[1].stats.cache_hits, 0);
   EXPECT_EQ(sync_cache.size(), pipelined_cache.size());
 }
@@ -170,8 +183,7 @@ TEST_F(PipelinedEvolutionTest, ConcurrentSharedRoundMinerPreservesResults) {
   // A concurrent multi-seed round with the shared round cache and pipelined
   // searches: results must match isolated serial searches; the per-search
   // attribution still partitions each search's candidates (the split itself
-  // is schedule-dependent under concurrent sharing, as for the synchronous
-  // driver).
+  // is schedule-dependent under concurrent sharing, at every depth).
   EvolutionConfig cfg = BaseConfig();
   cfg.max_candidates = 250;
   cfg.batch_size = 4;
@@ -223,34 +235,6 @@ TEST_F(PipelinedEvolutionTest, TimeBudgetedRunTerminatesAndPartitions) {
   EXPECT_GT(r.stats.candidates, 0);
   EXPECT_EQ(r.stats.candidates, r.stats.evaluated + r.stats.cache_hits +
                                     r.stats.pruned_redundant);
-}
-
-TEST_F(PipelinedEvolutionTest, EvaluateBatchAsyncMatchesSynchronousBatch) {
-  EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
-  Mutator mutator{MutatorConfig{}};
-  Rng rng(21);
-  std::vector<AlphaProgram> programs;
-  AlphaProgram program = MakeExpertAlpha(dataset_->window());
-  for (int i = 0; i < 10; ++i) {
-    program = mutator.Mutate(program, rng);
-    programs.push_back(program);
-  }
-  std::vector<EvaluatorPool::EvalRequest> batch;
-  for (size_t i = 0; i < programs.size(); ++i) {
-    batch.push_back({&programs[i], /*seed=*/i + 1, /*include_test=*/true});
-  }
-
-  const std::vector<AlphaMetrics> sync = pool.EvaluateBatch(batch);
-  auto handle = pool.EvaluateBatchAsync(batch);
-  const std::vector<AlphaMetrics>& async = handle->Wait();
-  ASSERT_EQ(async.size(), sync.size());
-  for (size_t i = 0; i < sync.size(); ++i) {
-    EXPECT_EQ(async[i].valid, sync[i].valid);
-    EXPECT_DOUBLE_EQ(async[i].ic_valid, sync[i].ic_valid);
-    EXPECT_DOUBLE_EQ(async[i].ic_test, sync[i].ic_test);
-    EXPECT_EQ(async[i].valid_portfolio_returns,
-              sync[i].valid_portfolio_returns);
-  }
 }
 
 TEST_F(PipelinedEvolutionTest, TaskGroupWaitUntilSeesPartialCompletions) {

@@ -4,8 +4,8 @@
 // *semantic* counters (evolution.*) are invariant across thread counts —
 // they count decisions made in deterministic batch/commit order, not
 // scheduling accidents. cache.hits / cache.misses are deliberately absent
-// here: they tally FingerprintCache::Lookup calls, which the pipelined
-// driver's speculative frontier partially bypasses (see fingerprint_cache.h).
+// here: they tally FingerprintCache::Lookup calls, which the speculative
+// frontier at depth >= 1 partially bypasses (see fingerprint_cache.h).
 
 #include <cstdint>
 #include <map>

@@ -75,7 +75,7 @@ TEST_F(WatchdogTest, PathologicalBudgetCountsEveryEvaluationAndTerminates) {
 }
 
 TEST_F(WatchdogTest, PooledSearchSurvivesTimeouts) {
-  // The watchdog must not wedge the batched pool drivers either.
+  // The watchdog must not wedge the pooled, pipelined path either.
   EvaluatorConfig eval_config;
   eval_config.eval_budget_seconds = 1e-9;
   EvolutionConfig cfg = BaseConfig();
