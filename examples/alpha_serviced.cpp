@@ -12,6 +12,11 @@
 // drain: intake stops, admitted ops finish, running jobs checkpoint and
 // park, telemetry flushes, then the process exits 0.
 //
+// A request line holds at most kMaxRequestBytes (1 MiB, newline excluded).
+// A longer line gets a bad_request response with an empty "id" (the id sits
+// in the part that was never parsed); the rest of that line is read and
+// dropped, and the daemon keeps serving the next line.
+//
 // Crash recovery: with --checkpoint-dir the daemon replays DIR/jobs.json at
 // boot — finished jobs reload their persisted result blobs; jobs that were
 // running (or pending) when the previous process died are requeued and
@@ -45,6 +50,7 @@
 #include <string>
 
 #include "service/alpha_service.h"
+#include "service/protocol.h"
 #include "telemetry_flags.h"
 
 namespace {
@@ -55,6 +61,31 @@ using alphaevolve::service::ServiceOptions;
 const char* ValueOf(const char* arg, const char* prefix) {
   const size_t n = std::strlen(prefix);
   return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
+}
+
+/// Longest request line the daemon buffers, newline excluded.
+constexpr size_t kMaxRequestBytes = size_t{1} << 20;
+
+enum class LineRead { kLine, kTooLong, kEof };
+
+/// Reads one '\n'-terminated line into `line`, keeping at most
+/// kMaxRequestBytes of it in memory. An oversize line is consumed through
+/// its newline (or EOF) and reported as kTooLong. A last line without a
+/// newline still counts as a line.
+LineRead ReadBoundedLine(std::streambuf& in, std::string* line) {
+  line->clear();
+  bool too_long = false;
+  for (int c = in.sbumpc(); c != std::char_traits<char>::eof();
+       c = in.sbumpc()) {
+    if (c == '\n') return too_long ? LineRead::kTooLong : LineRead::kLine;
+    if (line->size() < kMaxRequestBytes) {
+      line->push_back(static_cast<char>(c));
+    } else {
+      too_long = true;
+    }
+  }
+  if (too_long) return LineRead::kTooLong;
+  return line->empty() ? LineRead::kEof : LineRead::kLine;
 }
 
 }  // namespace
@@ -121,7 +152,16 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   };
   std::string line;
-  while (!service.drain_requested() && std::getline(std::cin, line)) {
+  while (!service.drain_requested()) {
+    const LineRead read = ReadBoundedLine(*std::cin.rdbuf(), &line);
+    if (read == LineRead::kEof) break;
+    if (read == LineRead::kTooLong) {
+      respond(alphaevolve::service::ErrorResponse(
+          "", alphaevolve::service::kErrBadRequest,
+          "request line longer than " + std::to_string(kMaxRequestBytes) +
+              " bytes"));
+      continue;
+    }
     if (line.empty()) continue;
     service.Submit(line, respond);
   }

@@ -111,6 +111,21 @@ def main():
         "invalid_argument"
     assert daemon.err("teleport", "e3") == "bad_request"
 
+    # Request lines are capped at 1 MiB (newline excluded): a line of
+    # exactly the cap is served, one byte more is refused with bad_request
+    # (empty id: the line is never parsed), and the daemon keeps serving.
+    max_request_bytes = 1 << 20
+    for rid, extra in (("at_cap", 0), ("over_cap", 1)):
+        head = '{"op":"health","id":"%s","pad":"' % rid
+        pad = "x" * (max_request_bytes + extra - len(head) - 2)
+        daemon.proc.stdin.write(head + pad + '"}\n')
+        daemon.proc.stdin.flush()
+    at_cap, _ = daemon.wait("at_cap")
+    assert at_cap["ok"] and at_cap["result"]["status"] == "ok", at_cap
+    over_cap, _ = daemon.wait("")
+    assert over_cap["error"]["code"] == "bad_request", over_cap
+    assert daemon.ok("health", "h2")["status"] == "ok"
+
     # One full supervised search through the protocol.
     submitted = daemon.ok("submit_search", "s1", {"seed": 7})
     job = submitted["job"]

@@ -1,7 +1,6 @@
 #ifndef ALPHAEVOLVE_CORE_EVALUATOR_POOL_H_
 #define ALPHAEVOLVE_CORE_EVALUATOR_POOL_H_
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -31,7 +30,7 @@ namespace alphaevolve::core {
 /// two levels never over-subscribe the machine.
 ///
 /// With `num_threads == 1` and no intra-candidate sharding, no threads are
-/// spawned and every batched call runs inline on the caller — the serial
+/// spawned and every ForEach call runs inline on the caller — the serial
 /// path stays allocation- and synchronization-free in the hot loop.
 ///
 /// The evaluation watchdog rides the shared config: set
@@ -71,30 +70,12 @@ class EvaluatorPool {
     Evaluator* evaluator_;
   };
 
-  /// One entry of an evaluation batch.
-  struct EvalRequest {
-    const AlphaProgram* program = nullptr;
-    uint64_t seed = 0;
-    bool include_test = false;
-  };
-
-  /// Evaluates every request and returns metrics in request order. Results
-  /// are independent of the thread count (each evaluation is deterministic
-  /// in (program, seed) and evaluators share no mutable state).
-  std::vector<AlphaMetrics> EvaluateBatch(
-      const std::vector<EvalRequest>& batch);
-
-  /// Probe (functional) fingerprints for every request, in request order.
-  std::vector<uint64_t> ProbeFingerprintBatch(
-      const std::vector<EvalRequest>& batch);
-
   /// Runs fn(evaluator, i) for i in [0, n) over up to num_threads()
   /// concurrent workers, each with its own leased evaluator. Indices are
   /// claimed from a shared atomic counter (work stealing), so a worker that
   /// drew cheap items (probe fingerprints, cache-hit short-circuits) keeps
   /// pulling work instead of idling behind a worker stuck on expensive full
-  /// evaluations. The building block for the batched APIs above and for
-  /// custom scoring pipelines.
+  /// evaluations. The building block for custom scoring pipelines.
   void ForEach(int n, const std::function<void(Evaluator&, int)>& fn);
 
   /// Non-blocking ForEach: submits up to num_threads() work-stealing worker

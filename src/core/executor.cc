@@ -180,6 +180,17 @@ void Executor::RefreshInputs(int date) {
   });
 }
 
+void Executor::FillInputCells(int t0, int t1, int date) {
+  const int first_date = date - n_ + 1;
+  for (int k = t0; k < t1; ++k) {
+    const float* window = dataset_.FeatureRow(k, first_date);
+    double* m0 = Mat(k, kInputMatrix);
+    for (const InputCell& cell : input_cells_) {
+      m0[cell.m0] = static_cast<double>(window[cell.window]);
+    }
+  }
+}
+
 // RecordHistory, PredictionsFinite and the relation gather/scatter copy a
 // handful of doubles per task; a shard barrier costs more than the whole
 // loop, so they stay serial (sharding them would be bit-identical anyway).
@@ -928,23 +939,13 @@ void Executor::ExecFusedSegment(FusedSegment& segment, int refresh_date) {
     ctx.n = n_;
     ctx.run_seed = run_seed_;
     // Block-at-a-time: a cache-resident block of tasks runs the whole
-    // segment before the next block is touched. A fused input refresh fills
-    // the block's m0 matrices right before the segment consumes them —
-    // still warm — instead of a separate whole-universe sweep per date.
-    // The fill is fetched from the dispatched kernel table like every other
-    // fused kernel (a pure float→double widening copy, bitwise exact on
-    // any variant; Dataset::FillInputMatrix stays the interpreter's
-    // reference).
-    const int nf = dataset_.num_features();
-    const int first_date = refresh_date - n_ + 1;
+    // segment before the next block is touched. A fused input refresh
+    // writes the block's listed m0 cells right before the segment consumes
+    // them — still warm — instead of a separate whole-universe sweep per
+    // date.
     for (int b0 = t0; b0 < t1; b0 += block_size_) {
       const int b1 = std::min(t1, b0 + block_size_);
-      if (refresh_date >= 0) {
-        for (int k = b0; k < b1; ++k) {
-          ktable_->fill_input(dataset_.FeatureRow(k, first_date), nf, n_,
-                              Mat(k, kInputMatrix));
-        }
-      }
+      if (refresh_date >= 0) FillInputCells(b0, b1, refresh_date);
       for (const MicroOp& op : segment.ops) op.fn(ctx, op, b0, b1);
     }
   });
@@ -974,12 +975,14 @@ void Executor::ExecCompiled(CompiledComponent& compiled, int refresh_date) {
   // The fused refresh needs a leading element-wise segment to ride on; a
   // component that is empty or opens with a relation op (which reads
   // scalars the refresh does not touch — but later segments read m0) gets
-  // the standalone sweep instead. Either way every piece sees a fully
-  // refreshed m0, exactly like the interpreter's RefreshInputs-then-run.
-  bool fuse_refresh = refresh_date >= 0;
+  // a standalone sweep of the same cells instead. Either way every piece
+  // reads the m0 values the interpreter's full RefreshInputs-then-run
+  // gives; a program that reads no m0 cell skips the refresh.
+  bool fuse_refresh = refresh_date >= 0 && !input_cells_.empty();
   if (fuse_refresh &&
       (compiled.pieces.empty() || compiled.pieces.front().is_relation)) {
-    RefreshInputs(refresh_date);
+    ParallelForTasks(
+        [&](int t0, int t1) { FillInputCells(t0, t1, refresh_date); });
     fuse_refresh = false;
   }
   for (const CompiledComponent::Piece& piece : compiled.pieces) {
@@ -1026,10 +1029,12 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
                      &compiled_[1]);
     CompileComponent(program.update, n_, kHistoryCap, *ktable_, &rel_groups_,
                      &compiled_[2]);
+    CollectInputCells(program, n_, &input_cells_);
   }
-  // Per-date m0 refresh + predict. The fused path folds the refresh into
-  // the predict component's first segment (one task-state sweep instead of
-  // two); the interpreter keeps the standalone sweep as reference.
+  // Per-date m0 refresh + predict. The fused path writes only the m0 cells
+  // the program reads and folds that fill into the predict component's
+  // first segment (one task-state sweep instead of two); the interpreter
+  // keeps the standalone full refresh as reference.
   const auto predict_at = [&](int date) {
     if (fuse_) {
       ExecCompiled(compiled_[1], date);

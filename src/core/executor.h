@@ -114,10 +114,20 @@ struct ExecutionResult {
 /// Kernel path: with `fuse_segments` (the default) each component is
 /// lowered once per Run into fused micro-op segments (core/fused.h) that a
 /// shard executes block-at-a-time, fetching every kernel — element-wise,
-/// matmul/matvec/transpose, the fused input refresh — from the per-ISA
-/// kernel table resolved at construction (core/dispatch.h); with it off,
-/// the original switch interpreter runs instruction-at-a-time as the
-/// bit-identical reference using the fixed generic kernels (core/kernels.h).
+/// matmul/matvec/transpose — from the per-ISA kernel table resolved at
+/// construction (core/dispatch.h); with it off, the original switch
+/// interpreter runs instruction-at-a-time as the bit-identical reference
+/// using the fixed generic kernels (core/kernels.h).
+///
+/// Input refresh: the fused path works out once per Run which m0 cells the
+/// predict and update components read (`CollectInputCells`: the cells of
+/// each get_scalar / get_row / get_column, or all n² when m0 is a matrix
+/// operand there) and refreshes only those each date. That is exact:
+/// widening float to double is exact, and every op that writes a matrix
+/// writes all of it, so each m0 read either hits a listed cell, which holds
+/// the value a full fill gives, or follows a write that overwrote the whole
+/// m0. The interpreter keeps `Dataset::FillInputMatrix`, the full refresh,
+/// as the reference the parity suites compare against.
 /// Relation ops on the fused path execute through their in-plan lowering
 /// (`relation_in_plan`): one group-parallel arena round doing gather →
 /// rank/demean → scatter per group, instead of serial whole-universe
@@ -192,7 +202,11 @@ class Executor {
   /// Fans fn(i) for i in [0, n) out to the shard workers (arena when a Run
   /// is active, pool otherwise).
   void ParallelForItems(int n, const std::function<void(int)>& fn);
+  /// Interpreter refresh: the full m0 of every task for `date`.
   void RefreshInputs(int date);
+  /// Fused refresh: writes the listed `input_cells_` of m0 for tasks
+  /// [t0, t1) at `date`.
+  void FillInputCells(int t0, int t1, int date);
   void RecordHistory();
   /// Executes one element-wise instruction for tasks [t0, t1). `draw_id` is
   /// the instruction's serial random-draw id (unused for non-random ops).
@@ -214,18 +228,20 @@ class Executor {
                           size_t begin, size_t end);
   /// Executes one compiled segment: stamps draw ids, then every shard walks
   /// its tasks block-at-a-time through the whole micro-op list (fused path).
-  /// `refresh_date >= 0` prepends the input-matrix fill for that date to
-  /// each block — the per-date m0 refresh rides the segment's cache pass
-  /// instead of sweeping task state separately (bit-identical: the fill
-  /// writes only the block's own m0 slots, which no other task reads).
+  /// `refresh_date >= 0` prepends FillInputCells for that date to each
+  /// block — the per-date refresh of the m0 cells the program reads rides
+  /// the segment's cache pass instead of sweeping task state separately
+  /// (bit-identical: the fill writes only the block's own m0 slots, which
+  /// no other task reads).
   void ExecFusedSegment(FusedSegment& segment, int refresh_date = -1);
   /// Interpreter walk of a raw component (reference path).
   void ExecComponent(const std::vector<Instruction>& instrs);
   /// Fused walk of a compiled component (hot path). `refresh_date >= 0`
-  /// fuses RefreshInputs(date) into the first piece when it is an
+  /// fuses the listed-cell refresh into the first piece when it is an
   /// element-wise segment (the common predict shape), saving one full
   /// barrier + task-state sweep per date; when the component starts with a
-  /// relation op (or is empty), the refresh runs standalone first.
+  /// relation op (or is empty), a standalone sweep of the same cells runs
+  /// first. A program that reads no m0 cell gets no refresh at all.
   void ExecCompiled(CompiledComponent& compiled, int refresh_date = -1);
   /// True iff every task's s1 is finite.
   bool PredictionsFinite();
@@ -253,6 +269,7 @@ class Executor {
   const KernelTable* ktable_ = nullptr;
   RelationGroupSets rel_groups_;
   CompiledComponent compiled_[kNumComponents];
+  std::vector<InputCell> input_cells_;  // m0 cells the program reads
   ShardArena* arena_ = nullptr;
   friend struct RunArenaScope;
 

@@ -215,4 +215,56 @@ void CompileComponent(const std::vector<Instruction>& instrs, int n,
   }
 }
 
+void CollectInputCells(const AlphaProgram& program, int n,
+                       std::vector<InputCell>* out) {
+  out->clear();
+  bool whole = false;
+  for (const std::vector<Instruction>* component :
+       {&program.predict, &program.update}) {
+    for (const Instruction& ins : *component) {
+      const OpInfo& info = GetOpInfo(ins.op);
+      if ((info.in1 == OperandType::kMatrix && ins.in1 == kInputMatrix) ||
+          (info.in2 == OperandType::kMatrix && ins.in2 == kInputMatrix)) {
+        whole = true;
+        break;
+      }
+      // Indices are clamped `% n` exactly as LowerOne does.
+      switch (ins.op) {
+        case Op::kGetScalar:
+          out->push_back({(ins.idx0 % n) * n + ins.idx1 % n, 0});
+          break;
+        case Op::kGetRow:
+          for (int j = 0; j < n; ++j) {
+            out->push_back({(ins.idx0 % n) * n + j, 0});
+          }
+          break;
+        case Op::kGetColumn:
+          for (int f = 0; f < n; ++f) {
+            out->push_back({f * n + ins.idx0 % n, 0});
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    if (whole) break;
+  }
+  if (whole) {
+    out->resize(static_cast<size_t>(n) * n);
+    for (int c = 0; c < n * n; ++c) (*out)[static_cast<size_t>(c)].m0 = c;
+  } else {
+    const auto by_m0 = [](const InputCell& a, const InputCell& b) {
+      return a.m0 < b.m0;
+    };
+    const auto same_m0 = [](const InputCell& a, const InputCell& b) {
+      return a.m0 == b.m0;
+    };
+    std::sort(out->begin(), out->end(), by_m0);
+    out->erase(std::unique(out->begin(), out->end(), same_m0), out->end());
+  }
+  for (InputCell& cell : *out) {
+    cell.window = (cell.m0 % n) * n + cell.m0 / n;  // day j, feature f
+  }
+}
+
 }  // namespace alphaevolve::core

@@ -82,6 +82,31 @@ struct CompiledComponent {
   }
 };
 
+/// One m0 cell the fused per-date input refresh writes: its element offset
+/// in the n×n input matrix (row = feature f, column = window day j, so
+/// f * n + j) and the offset of its float in the feature window that
+/// `Dataset::FeatureRow(task, date - n + 1)` points at (day j's features
+/// start at j * n, since the executor requires features == window = n).
+struct InputCell {
+  int32_t m0 = 0;
+  int32_t window = 0;
+};
+
+/// Collects into `out` (cleared first; capacity reused across Runs) the m0
+/// cells `program` can read from a refresh, sorted by m0 offset without
+/// duplicates. Only predict and update are scanned: setup runs before the
+/// first refresh and cannot hold extraction ops. `get_scalar` names one
+/// cell, `get_row` / `get_column` n cells each; any instruction there that
+/// takes m0 as a matrix operand (in1/in2 of matrix type at kInputMatrix)
+/// makes the set all n² cells.
+///
+/// Refreshing only these cells is exact. Widening float to double is
+/// exact, and every op that writes a matrix writes all n² of its cells, so
+/// each m0 read either hits a listed cell, which holds the value a full
+/// fill gives, or follows a write that overwrote the whole matrix.
+void CollectInputCells(const AlphaProgram& program, int n,
+                       std::vector<InputCell>* out);
+
 /// Lowers `instrs` into `out` (cleared first; capacity reused across Runs)
 /// for window dimension `n` and a ts-rank history capacity of `hist_cap`.
 /// Segmentation follows GetMicroOpInfo: every fusable op joins the current

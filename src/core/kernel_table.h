@@ -113,6 +113,11 @@ inline constexpr int kNumKernelVariants =
 /// elements while preserving each element's accumulation order — so every
 /// table produces bit-identical results; only throughput differs. The
 /// fused-parity fuzz suite enforces that claim against the interpreter.
+///
+/// The per-date m0 refresh is not a table kernel: the executor copies only
+/// the cells a program reads (core/fused.h `InputCell`), a handful of
+/// float→double widenings per task that no ISA variant speeds up; a
+/// whole-matrix reader gets all n² cells through the same cell map.
 struct KernelTable {
   KernelVariant variant = KernelVariant::kScalar;
   const char* name = "scalar";
@@ -127,11 +132,6 @@ struct KernelTable {
   void (*matvec)(const double* a, const double* x, double* out, int n) =
       nullptr;
   void (*transpose)(const double* a, double* out, int n) = nullptr;
-
-  /// Fused RefreshInputs fill: widen `w` float feature columns (column j at
-  /// `col0 + j * nf`, `nf` floats each) into the row-major n×n input matrix
-  /// `out[f * w + j]`. Pure convert/copy — bitwise exact by construction.
-  void (*fill_input)(const float* col0, int nf, int w, double* out) = nullptr;
 
   /// Float kernels for the nn baselines (row-major rows×cols weight `w`).
   /// Same accumulation contracts as src/nn/tensor.h: matvec keeps each row

@@ -65,7 +65,6 @@ TEST(DispatchTest, CompiledTablesAreComplete) {
     EXPECT_NE(table->matmul, nullptr);
     EXPECT_NE(table->matvec, nullptr);
     EXPECT_NE(table->transpose, nullptr);
-    EXPECT_NE(table->fill_input, nullptr);
     EXPECT_NE(table->nn_matvec, nullptr);
     EXPECT_NE(table->nn_mattvec, nullptr);
     EXPECT_NE(table->nn_addouter, nullptr);

@@ -4,7 +4,8 @@
 // every configuration below must reproduce the interpreter's output
 // bit-for-bit: across a program fuzz (whatever the mutator emits), across
 // {1, 4, 8} threads x {1, 16, 257} shard sizes, across block sizes, with
-// CounterRng random-init ops and with relation ops splitting segments.
+// CounterRng random-init ops, with relation ops splitting segments, and
+// with the input refresh filling only the m0 cells a program reads.
 // The blocked matmul kernels get the same treatment against naive loops.
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 
 #include "core/dispatch.h"
 #include "core/executor.h"
+#include "core/fused.h"
 #include "core/generators.h"
 #include "core/kernels.h"
 #include "core/mutator.h"
@@ -72,6 +74,49 @@ AlphaProgram MakeStressAlpha(int window) {
   ts.idx0 = 6;
   prog.predict.push_back(ts);
   prog.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 5));
+  return prog;
+}
+
+Instruction Const(Op op, int out, double imm0) {
+  Instruction ins;
+  ins.op = op;
+  ins.out = static_cast<uint8_t>(out);
+  ins.imm0 = imm0;
+  return ins;
+}
+
+Instruction GetScalar(int out, int feature, int day) {
+  Instruction ins;
+  ins.op = Op::kGetScalar;
+  ins.out = static_cast<uint8_t>(out);
+  ins.idx0 = static_cast<uint8_t>(feature);
+  ins.idx1 = static_cast<uint8_t>(day);
+  return ins;
+}
+
+/// `prog` with m0 written as a matrix at the end of every update, so the
+/// refresh writes over a matrix the program produced. With `read_whole`,
+/// predict also reads m0 as a matrix (folded into s1), so the fused refresh
+/// fills all n² cells; without it, every whole-matrix m0 operand in predict
+/// and update is moved to m1, so the refresh fills only the get_* cells.
+AlphaProgram WithM0Traffic(AlphaProgram prog, bool read_whole) {
+  for (std::vector<Instruction>* component : {&prog.predict, &prog.update}) {
+    for (Instruction& ins : *component) {
+      const OpInfo& info = GetOpInfo(ins.op);
+      if (info.in1 == OperandType::kMatrix && ins.in1 == kInputMatrix) {
+        ins.in1 = 1;
+      }
+      if (info.in2 == OperandType::kMatrix && ins.in2 == kInputMatrix) {
+        ins.in2 = 1;
+      }
+    }
+  }
+  prog.update.push_back(I(Op::kMatrixAbs, kInputMatrix, 1));
+  if (read_whole) {
+    prog.predict.push_back(I(Op::kMatrixMean, 9, kInputMatrix));
+    prog.predict.push_back(
+        I(Op::kScalarAdd, kPredictionScalar, kPredictionScalar, 9));
+  }
   return prog;
 }
 
@@ -229,42 +274,122 @@ TEST_F(FusedParityTest, RelationBoundariesBetweenFusedSegments) {
 }
 
 TEST_F(FusedParityTest, FusedInputRefreshBitIdentical) {
-  // The per-date input-matrix fill is fused into the predict component's
-  // first segment (one task-state sweep per date instead of two); the
-  // interpreter keeps the standalone RefreshInputs as reference. All three
-  // plan shapes must be bit-identical: a leading element-wise segment that
-  // consumes m0 immediately (the fused fill), a predict that *opens* with a
-  // relation op (standalone fill before the pieces), and an empty predict
-  // whose m0 is only read by the update component.
+  // The fused path refreshes only the m0 cells predict and update read, and
+  // folds that fill into the predict component's first segment; the
+  // interpreter keeps the full standalone RefreshInputs as reference. Each
+  // shape below must be bit-identical to it, and `cells` pins which refresh
+  // shape it runs (n * n = the whole matrix).
   const int w = dataset_->window();
+  const int all = w * w;
+  struct Case {
+    const char* name;
+    AlphaProgram prog;
+    size_t cells;
+  };
+  std::vector<Case> cases;
 
-  AlphaProgram segment_first = MakeStressAlpha(w);  // starts by reading m0
+  // A leading element-wise segment that consumes m0 immediately.
+  cases.push_back({"segment first", MakeStressAlpha(w), 4});
 
+  // A predict that opens with a relation op: standalone fill first.
   AlphaProgram relation_first;
   relation_first.predict.push_back(I(Op::kRank, 3, kPredictionScalar));
-  Instruction get;
-  get.op = Op::kGetScalar;
-  get.out = 4;
-  get.idx0 = 0;
-  get.idx1 = static_cast<uint8_t>(w - 1);
-  relation_first.predict.push_back(get);  // m0 read *after* the relation
+  relation_first.predict.push_back(GetScalar(4, 0, w - 1));
   relation_first.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 3, 4));
+  cases.push_back({"relation first", relation_first, 1});
 
+  // An empty predict: only update consumes the refresh.
   AlphaProgram empty_predict;
-  empty_predict.update.push_back(get);  // only update consumes the refresh
+  empty_predict.update.push_back(GetScalar(4, 0, w - 1));
   empty_predict.update.push_back(
       I(Op::kScalarAdd, kPredictionScalar, 4, kLabelScalar));
+  cases.push_back({"empty predict", empty_predict, 1});
 
-  int case_idx = 0;
-  for (const AlphaProgram& prog :
-       {segment_first, relation_first, empty_predict}) {
-    SCOPED_TRACE("case " + std::to_string(case_idx++));
+  // Setup writes m0; the first refresh overwrites only the listed cells.
+  AlphaProgram setup_writes;
+  setup_writes.setup.push_back(RandomInit(Op::kMatrixGaussian, 0, 0.0, 1.0));
+  setup_writes.setup.push_back(Const(Op::kMatrixConst, 0, 3.5));
+  setup_writes.predict.push_back(GetScalar(3, 2, w - 1));
+  setup_writes.predict.push_back(GetScalar(4, 5, 0));
+  setup_writes.predict.push_back(I(Op::kScalarSub, kPredictionScalar, 3, 4));
+  cases.push_back({"setup writes m0", setup_writes, 2});
+
+  // Predict overwrites m0 with a matrix op, then reads cells of the result.
+  AlphaProgram predict_writes;
+  predict_writes.setup.push_back(RandomInit(Op::kMatrixGaussian, 1, 0.0, 1.0));
+  predict_writes.predict.push_back(GetScalar(3, 1, w - 1));
+  predict_writes.predict.push_back(I(Op::kMatrixAbs, 0, 1));
+  predict_writes.predict.push_back(GetScalar(4, 1, w - 1));
+  predict_writes.predict.push_back(GetScalar(5, 7, 3));
+  predict_writes.predict.push_back(I(Op::kScalarAdd, 6, 4, 5));
+  predict_writes.predict.push_back(I(Op::kScalarMul, kPredictionScalar, 3, 6));
+  cases.push_back({"predict writes m0", predict_writes, 2});
+
+  // Update overwrites m0; the next date's predict reads listed cells.
+  AlphaProgram update_writes;
+  update_writes.predict.push_back(GetScalar(3, 0, w - 1));
+  update_writes.predict.push_back(GetScalar(4, 3, w - 2));
+  update_writes.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 3, 4));
+  update_writes.update.push_back(RandomInit(Op::kMatrixUniform, 1, -1.0, 1.0));
+  update_writes.update.push_back(I(Op::kMatrixTranspose, 0, 1));
+  cases.push_back({"update writes m0", update_writes, 2});
+
+  // Only update reads m0 as a whole matrix: every cell is refreshed.
+  AlphaProgram update_reads_whole;
+  update_reads_whole.predict.push_back(GetScalar(3, 0, w - 1));
+  update_reads_whole.predict.push_back(
+      I(Op::kScalarAdd, kPredictionScalar, 3, 6));
+  update_reads_whole.update.push_back(I(Op::kMatrixMean, 6, 0));
+  cases.push_back({"update reads m0 whole", update_reads_whole,
+                   static_cast<size_t>(all)});
+
+  // get_row / get_column sets, overlapping in one cell.
+  AlphaProgram rows_cols;
+  Instruction row = I(Op::kGetRow, 2);
+  row.idx0 = 3;
+  Instruction col = I(Op::kGetColumn, 3);
+  col.idx0 = static_cast<uint8_t>(w - 1);
+  rows_cols.predict.push_back(row);
+  rows_cols.predict.push_back(col);
+  rows_cols.predict.push_back(I(Op::kVectorDot, kPredictionScalar, 2, 3));
+  cases.push_back({"get_row and get_column", rows_cols,
+                   static_cast<size_t>(2 * w - 1)});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<InputCell> cells;
+    CollectInputCells(c.prog, w, &cells);
+    EXPECT_EQ(cells.size(), c.cells);
     Executor reference(*dataset_, Interp());
-    const ExecutionResult expect = reference.Run(prog, 77);
+    const ExecutionResult expect = reference.Run(c.prog, 77);
+    EXPECT_TRUE(expect.valid);
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       Executor fused(*dataset_, Fused(threads, 16));
-      ExpectBitIdentical(fused.Run(prog, 77), expect);
+      ExpectBitIdentical(fused.Run(c.prog, 77), expect);
+    }
+  }
+}
+
+TEST_F(FusedParityTest, InputCellsMapWindowToInputMatrix) {
+  // Every cell's window offset must name the float that
+  // Dataset::FillInputMatrix (the interpreter's full refresh) puts at the
+  // cell's m0 offset.
+  const int w = dataset_->window();
+  AlphaProgram whole;
+  whole.predict.push_back(I(Op::kMatrixNorm, kPredictionScalar, 0));
+  std::vector<InputCell> cells;
+  CollectInputCells(whole, w, &cells);
+  ASSERT_EQ(cells.size(), static_cast<size_t>(w * w));
+  const int date = dataset_->dates(market::Split::kValid)[0];
+  std::vector<double> m0(static_cast<size_t>(w * w));
+  for (const int task : {0, dataset_->num_tasks() - 1}) {
+    dataset_->FillInputMatrix(task, date, m0.data());
+    const float* window = dataset_->FeatureRow(task, date - w + 1);
+    for (const InputCell& cell : cells) {
+      EXPECT_EQ(m0[static_cast<size_t>(cell.m0)],
+                static_cast<double>(window[cell.window]))
+          << "m0 offset " << cell.m0;
     }
   }
 }
@@ -302,15 +427,27 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   ASSERT_GE(forced.size(), 10u);  // scalar always compiles: 9 + 1 minimum
 
   // MakeStressAlpha keeps all three relation ops in the corpus even when a
-  // mutation step rewrites other instructions.
-  AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  for (int i = 0; i < 5; ++i) {
+  // mutation step rewrites other instructions. Mutants alternate between the
+  // two input-refresh shapes (listed cells only, and the whole m0), each
+  // with m0 overwritten by a matrix op every training date.
+  const int w = dataset_->window();
+  AlphaProgram prog = MakeStressAlpha(w);
+  for (int i = 0; i < 6; ++i) {
     SCOPED_TRACE("mutation " + std::to_string(i));
     const uint64_t seed = 6000 + static_cast<uint64_t>(i);
-    const ExecutionResult expect = reference.Run(prog, seed);
+    const bool read_whole = i % 2 == 1;
+    const AlphaProgram shaped = WithM0Traffic(prog, read_whole);
+    std::vector<InputCell> cells;
+    CollectInputCells(shaped, w, &cells);
+    if (read_whole) {
+      EXPECT_EQ(cells.size(), static_cast<size_t>(w * w));
+    } else {
+      EXPECT_LT(cells.size(), static_cast<size_t>(w * w));
+    }
+    const ExecutionResult expect = reference.Run(shaped, seed);
     for (auto& [name, executor] : forced) {
       SCOPED_TRACE(name);
-      ExpectBitIdentical(executor.Run(prog, seed), expect);
+      ExpectBitIdentical(executor.Run(shaped, seed), expect);
     }
     prog = mutator.Mutate(prog, rng);
   }
@@ -382,6 +519,89 @@ TEST_F(FusedParityTest, EnvThreadCountCannotChangeResults) {
   Executor reference(*dataset_, Interp());
   Executor fused(*dataset_, Fused(env_threads, 0));
   ExpectBitIdentical(fused.Run(prog, 42), reference.Run(prog, 42));
+}
+
+// ---- the m0 cell set of the fused input refresh ---------------------------
+
+std::vector<int> M0Offsets(const std::vector<InputCell>& cells, int n) {
+  std::vector<int> out;
+  for (const InputCell& cell : cells) {
+    // day j = m0 % n, feature f = m0 / n; the window holds day j's
+    // features from j * n.
+    EXPECT_EQ(cell.window, (cell.m0 % n) * n + cell.m0 / n);
+    out.push_back(cell.m0);
+  }
+  return out;
+}
+
+std::vector<int> AllCells(int n) {
+  std::vector<int> out(static_cast<size_t>(n * n));
+  for (int c = 0; c < n * n; ++c) out[static_cast<size_t>(c)] = c;
+  return out;
+}
+
+TEST(InputCellsTest, GetOpsNameExactCells) {
+  const int n = 13;
+  AlphaProgram prog;
+  prog.predict.push_back(GetScalar(3, 2, 12));  // m0[2, 12]
+  prog.predict.push_back(GetScalar(4, 2, 12));  // the same cell again
+  prog.predict.push_back(GetScalar(5, n + 5, 2 * n));  // clamped: m0[5, 0]
+  Instruction row = I(Op::kGetRow, 2);
+  row.idx0 = 4;  // m0[4, :]
+  prog.update.push_back(row);
+  Instruction col = I(Op::kGetColumn, 3);
+  col.idx0 = 1;  // m0[:, 1], crossing row 4 at m0[4, 1]
+  prog.update.push_back(col);
+  // Writing m0, and scalar / vector operands at address 0, read no cell.
+  prog.predict.push_back(I(Op::kMatrixAbs, kInputMatrix, 1));
+  prog.predict.push_back(I(Op::kScalarAdd, 6, kLabelScalar, 0));
+  prog.update.push_back(I(Op::kVectorScale, 2, 0, 0));
+  prog.update.push_back(I(Op::kVectorOuter, kInputMatrix, 0, 0));
+
+  std::vector<int> expect = {2 * n + 12, 5 * n};
+  for (int j = 0; j < n; ++j) expect.push_back(4 * n + j);
+  for (int f = 0; f < n; ++f) {
+    if (f != 4) expect.push_back(f * n + 1);
+  }
+  std::sort(expect.begin(), expect.end());
+
+  std::vector<InputCell> cells;
+  CollectInputCells(prog, n, &cells);
+  EXPECT_EQ(M0Offsets(cells, n), expect);
+
+  CollectInputCells(AlphaProgram{}, n, &cells);  // reuses the vector
+  EXPECT_TRUE(cells.empty());
+}
+
+TEST(InputCellsTest, MatrixReadOfM0InPredictOrUpdateListsAllCells) {
+  const int n = 13;
+  AlphaProgram in_predict;
+  in_predict.predict.push_back(GetScalar(3, 0, 0));
+  in_predict.predict.push_back(I(Op::kMatrixMean, 4, kInputMatrix));
+  AlphaProgram in_update;
+  in_update.predict.push_back(GetScalar(3, 0, 0));
+  in_update.update.push_back(I(Op::kMatrixAdd, 2, 1, kInputMatrix));  // in2
+  AlphaProgram matvec;
+  matvec.update.push_back(I(Op::kMatrixVectorProduct, 2, kInputMatrix, 1));
+
+  std::vector<InputCell> cells;
+  for (const AlphaProgram* prog : {&in_predict, &in_update, &matvec}) {
+    CollectInputCells(*prog, n, &cells);
+    EXPECT_EQ(M0Offsets(cells, n), AllCells(n));
+  }
+}
+
+TEST(InputCellsTest, SetupIsIgnored) {
+  // Setup runs before the first refresh, so what it reads of m0 is never a
+  // refreshed cell.
+  const int n = 13;
+  AlphaProgram prog;
+  prog.setup.push_back(I(Op::kMatrixMean, 4, kInputMatrix));
+  prog.setup.push_back(I(Op::kMatrixTranspose, 2, kInputMatrix));
+  prog.predict.push_back(GetScalar(3, 7, 8));
+  std::vector<InputCell> cells;
+  CollectInputCells(prog, n, &cells);
+  EXPECT_EQ(M0Offsets(cells, n), std::vector<int>{7 * n + 8});
 }
 
 // ---- blocked dense kernels vs naive reference loops -----------------------

@@ -4,6 +4,7 @@
 // and the concurrent multi-seed miner must reproduce its serial equivalent.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,7 +52,7 @@ class ParallelEvolutionTest : public ::testing::Test {
 
 market::Dataset* ParallelEvolutionTest::dataset_ = nullptr;
 
-TEST_F(ParallelEvolutionTest, EvaluateBatchMatchesSerialEvaluate) {
+TEST_F(ParallelEvolutionTest, PooledEvaluateMatchesSerialEvaluate) {
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   Evaluator serial(*dataset_, EvaluatorConfig{});
 
@@ -64,11 +65,15 @@ TEST_F(ParallelEvolutionTest, EvaluateBatchMatchesSerialEvaluate) {
     programs.push_back(program);
   }
 
-  std::vector<EvaluatorPool::EvalRequest> batch;
-  for (size_t i = 0; i < programs.size(); ++i) {
-    batch.push_back({&programs[i], /*seed=*/i + 1, /*include_test=*/true});
-  }
-  const std::vector<AlphaMetrics> pooled = pool.EvaluateBatch(batch);
+  // Pool workers score the batch in whatever order they claim items; each
+  // result lands in its own slot.
+  std::vector<AlphaMetrics> pooled(programs.size());
+  pool.ForEach(static_cast<int>(programs.size()),
+               [&](Evaluator& evaluator, int i) {
+                 const size_t idx = static_cast<size_t>(i);
+                 pooled[idx] = evaluator.Evaluate(programs[idx], idx + 1,
+                                                  /*include_test=*/true);
+               });
   ASSERT_EQ(pooled.size(), programs.size());
   for (size_t i = 0; i < programs.size(); ++i) {
     const AlphaMetrics expected = serial.Evaluate(programs[i], i + 1, true);
@@ -81,15 +86,21 @@ TEST_F(ParallelEvolutionTest, EvaluateBatchMatchesSerialEvaluate) {
   }
 }
 
-TEST_F(ParallelEvolutionTest, ProbeFingerprintBatchMatchesSerial) {
+TEST_F(ParallelEvolutionTest, PooledProbeFingerprintMatchesSerial) {
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 3);
   Evaluator serial(*dataset_, EvaluatorConfig{});
   const AlphaProgram expert = MakeExpertAlpha(dataset_->window());
   const AlphaProgram noop = MakeNoOpAlpha();
 
-  const std::vector<EvaluatorPool::EvalRequest> batch = {
-      {&expert, 1, false}, {&noop, 2, false}, {&expert, 1, false}};
-  const std::vector<uint64_t> prints = pool.ProbeFingerprintBatch(batch);
+  const std::vector<std::pair<const AlphaProgram*, uint64_t>> batch = {
+      {&expert, 1}, {&noop, 2}, {&expert, 1}};
+  std::vector<uint64_t> prints(batch.size());
+  pool.ForEach(static_cast<int>(batch.size()),
+               [&](Evaluator& evaluator, int i) {
+                 const auto& [program, seed] = batch[static_cast<size_t>(i)];
+                 prints[static_cast<size_t>(i)] =
+                     evaluator.ProbeFingerprint(*program, seed);
+               });
   ASSERT_EQ(prints.size(), 3u);
   EXPECT_EQ(prints[0], serial.ProbeFingerprint(expert, 1));
   EXPECT_EQ(prints[1], serial.ProbeFingerprint(noop, 2));
